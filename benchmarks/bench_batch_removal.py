@@ -156,36 +156,3 @@ def bench_mixed_stream_with_removal_runs(benchmark, sequence):
         assert batched.mcd_recomputations < per_edge.mcd_recomputations
     if len(plan) >= WALL_CLOCK_MIN_OPS:
         assert batched_seconds < log.total_seconds
-
-
-def bench_region_partitioned_window_expiry(benchmark):
-    """The partitioned schedule agrees and reports region counters; the
-    partitioner's walk is the measured overhead."""
-    dataset = load_dataset("gowalla", scale=BENCH_SCALE, seed=BENCH_SEED)
-    workload = make_workload(dataset, BENCH_UPDATES, seed=BENCH_SEED)
-    victims = workload.update_edges
-    windows = [
-        Batch.removes(victims[i : i + WINDOW])
-        for i in range(0, len(victims), WINDOW)
-    ]
-
-    def run():
-        plain = build_engine("order", workload.full_graph(), seed=BENCH_SEED)
-        plain_results = run_batches(plain, windows)
-        partitioned = build_engine(
-            "order", workload.full_graph(), seed=BENCH_SEED, partition=True
-        )
-        results = run_batches(partitioned, windows)
-        assert plain.core_numbers() == partitioned.core_numbers()
-        return plain_results, results
-
-    plain_results, results = once(benchmark, run)
-    benchmark.extra_info["plain_seconds"] = sum(r.seconds for r in plain_results)
-    benchmark.extra_info["partitioned_seconds"] = sum(r.seconds for r in results)
-    benchmark.extra_info["regions_total"] = sum(
-        r.counters["regions"] for r in results
-    )
-    benchmark.extra_info["region_max_size"] = max(
-        r.counters["region_max_size"] for r in results
-    )
-    assert all(r.counters["regions"] >= 1 for r in results)

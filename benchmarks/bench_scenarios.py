@@ -2,8 +2,8 @@
 
 Each registered scenario family (:mod:`repro.scenarios.generators`)
 replays through ``CoreService`` on the engine matrix — the paper's
-order-based engine, the Guo–Sekerinski simplified variant and the
-sharded deployment shape — and every replay pair must checkpoint
+order-based engine and the Guo–Sekerinski simplified variant — and
+every replay pair must checkpoint
 identical per-tick core maps (the agreement check is part of the bench,
 so a perf artifact can never come from diverging answers).  A final
 bench measures the trace format itself: record + verify + load of the
@@ -29,7 +29,7 @@ from repro import scenarios as sc
 BENCH_TICKS = int(os.environ.get("REPRO_BENCH_TICKS", "24"))
 
 #: The agreement matrix every family replays across.
-ENGINES = ("order", "order-simplified", "order-sharded")
+ENGINES = ("order", "order-simplified")
 
 _RECORDS: list[dict] = []
 

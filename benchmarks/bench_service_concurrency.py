@@ -4,9 +4,9 @@ Four benches drive a real :class:`~repro.service.server.CoreServer` over
 loopback TCP with the real protocol (framed JSONL, tokens, deadlines):
 
 * ``commit_throughput`` — N clients on N tenant sessions, sequential
-  (await each commit before the next, one client) vs sharded (N clients
-  pipelining concurrently onto their own sessions).  The gate: at
-  meaningful op counts the sharded fan-out must not be slower than the
+  (await each commit before the next, one client) vs multi-tenant (N
+  clients pipelining concurrently onto their own sessions).  The gate: at
+  meaningful op counts the multi-tenant fan-out must not be slower than the
   sequential baseline — concurrency across per-tenant single-writer
   queues has to hide the per-request round-trip time, or the session
   multiplexing is pure overhead.
@@ -38,7 +38,7 @@ from repro.engine.batch import Batch
 from repro.service import CoreClient, CoreServer, CoreService, ServerLimits
 from repro.testing.faults import FaultPlan
 
-#: Concurrent clients (= tenant sessions) in the sharded fan-out.
+#: Concurrent clients (= tenant sessions) in the multi-tenant fan-out.
 N_CLIENTS = int(os.environ.get("REPRO_BENCH_CLIENTS", "4"))
 #: Commits per client.
 COMMITS = max(4, int(os.environ.get("REPRO_BENCH_COMMITS", str(BENCH_UPDATES // 2))))
@@ -112,7 +112,7 @@ def _run_sequential(total_commits):
     return asyncio.run(scenario())
 
 
-def _run_sharded(n_clients, commits_each):
+def _run_multi_tenant(n_clients, commits_each):
     """N clients pipelining concurrently onto N tenant sessions."""
     async def scenario():
         async with CoreServer(seed=BENCH_SEED) as server:
@@ -135,30 +135,30 @@ def _run_sharded(n_clients, commits_each):
     return asyncio.run(scenario())
 
 
-def bench_commit_throughput_sequential_vs_sharded(benchmark):
+def bench_commit_throughput_sequential_vs_multi_tenant(benchmark):
     total = N_CLIENTS * COMMITS
 
     def run():
         seq_s = _run_sequential(total)
-        sharded_s = _run_sharded(N_CLIENTS, COMMITS)
-        return seq_s, sharded_s
+        multi_tenant_s = _run_multi_tenant(N_CLIENTS, COMMITS)
+        return seq_s, multi_tenant_s
 
-    seq_s, sharded_s = once(benchmark, run)
+    seq_s, multi_tenant_s = once(benchmark, run)
     entry = {
         "bench": "commit_throughput",
         "total_commits": total,
         "sequential_seconds": round(seq_s, 6),
-        "sharded_seconds": round(sharded_s, 6),
+        "multi_tenant_seconds": round(multi_tenant_s, 6),
         "sequential_commits_per_sec": round(total / seq_s, 1),
-        "sharded_commits_per_sec": round(total / sharded_s, 1),
-        "speedup": round(seq_s / sharded_s, 3),
+        "multi_tenant_commits_per_sec": round(total / multi_tenant_s, 1),
+        "speedup": round(seq_s / multi_tenant_s, 3),
     }
     _RECORDS.append(entry)
     benchmark.extra_info.update(entry)
     if total >= WALL_CLOCK_MIN_COMMITS:
-        assert sharded_s <= seq_s, (
-            f"sharded fan-out slower than sequential: "
-            f"{sharded_s:.3f}s vs {seq_s:.3f}s over {total} commits"
+        assert multi_tenant_s <= seq_s, (
+            f"multi-tenant fan-out slower than sequential: "
+            f"{multi_tenant_s:.3f}s vs {seq_s:.3f}s over {total} commits"
         )
 
 

@@ -34,7 +34,7 @@ def build_service(
     """Open a :class:`~repro.service.CoreService` session by engine name.
 
     The bench drivers' one construction path — extra keyword options
-    (``sequence``, ``partition``, ``parallel``, …) pass through to the
+    (``sequence``, ``policy``, …) pass through to the
     engine factory, which rejects the ones it does not understand.
     """
     return CoreService.open(graph, engine=name, seed=seed, **opts)

@@ -501,17 +501,15 @@ class SimplifiedCoreMaintainer(RunScheduledMaintainer):
     cascades.  Created as ``make_engine("order-simplified")`` (aliases
     ``order-simplified-{small,large,random,om,treap}``).
 
-    Parameters match the default order engine's, batch-scheduler options
-    included: ``policy`` picks the Section VI generation heuristic,
-    ``sequence`` the block backend, ``audit`` re-checks every invariant
-    after each update (tests only), and ``partition`` / ``parallel``
-    set the :meth:`apply_batch` region-schedule defaults (see
-    :class:`~repro.engine.schedule.RunScheduledMaintainer`).  Batches
-    commit run-natively: removal runs go through
-    :func:`simplified_remove_run` (one joint cascade per affected
-    level), insertion runs through one coalesced loop with a single
-    boundary audit — the simplified insert leaves nothing deferred, so
-    the run is the per-edge scan minus per-edge overheads.
+    Parameters match the default order engine's: ``policy`` picks the
+    Section VI generation heuristic, ``sequence`` the block backend,
+    ``audit`` re-checks every invariant after each update (tests only).
+    Batches commit run-natively (see
+    :class:`~repro.engine.schedule.RunScheduledMaintainer`): removal
+    runs go through :func:`simplified_remove_run` (one joint cascade per
+    affected level), insertion runs through one coalesced loop with a
+    single boundary audit — the simplified insert leaves nothing
+    deferred, so the run is the per-edge scan minus per-edge overheads.
     """
 
     name = "order-simplified"
@@ -528,8 +526,6 @@ class SimplifiedCoreMaintainer(RunScheduledMaintainer):
         seed: Optional[int] = 0,
         audit: bool = False,
         sequence: str = DEFAULT_SEQUENCE,
-        partition: bool = False,
-        parallel: Optional[int] = None,
     ) -> None:
         super().__init__(graph)
         self._audit = audit
@@ -541,8 +537,6 @@ class SimplifiedCoreMaintainer(RunScheduledMaintainer):
         )
         self._d_in = compute_d_in(graph, self._core, decomposition.order)
         self.candidate_visits = 0
-        self._batch_partition = bool(partition)
-        self._batch_parallel = parallel if parallel else None
 
     @classmethod
     def from_index_state(
@@ -606,21 +600,6 @@ class SimplifiedCoreMaintainer(RunScheduledMaintainer):
         """
         d_in, d_out = self._d_in, self.korder.deg_plus
         return {v: d_in[v] + d_out[v] for v in d_in}
-
-    def mcd_of(self, vertex: Vertex) -> int:
-        """``mcd`` of one vertex, derived O(1) as ``d_in + d_out`` —
-        per-vertex readers (the sharded engine's union view) must use
-        this instead of :attr:`mcd`, which builds the whole dict."""
-        return self._d_in[vertex] + self.korder.deg_plus[vertex]
-
-    @property
-    def _aux_degrees(self) -> dict[Vertex, int]:
-        """The per-vertex auxiliary degree store the sharded engine
-        merges and splits alongside ``core``/``deg+`` — here ``d_in``
-        (the default engine's counterpart is ``mcd``).  Valid to move
-        between disjoint components untouched: absorbed blocks land
-        behind the survivor's, so no same-block predecessor changes."""
-        return self._d_in
 
     @property
     def sequence(self) -> str:

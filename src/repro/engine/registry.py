@@ -2,8 +2,7 @@
 
 Every consumer (streaming monitor, benchmarks, CLI, applications) creates
 engines through :func:`make_engine` instead of importing concrete classes,
-so new engines (sharded, parallel, remote …) plug in with one
-:func:`register_engine` call.
+so new engines plug in with one :func:`register_engine` call.
 
 Names
 -----
@@ -14,10 +13,7 @@ Names
     to pick the k-order block backend (O(1) tagged order-maintenance
     lists vs O(log n) order-statistic treaps); ``order-om`` and
     ``order-treap`` are aliases that pin the backend by name, for
-    CLI ``--engine`` selection.  They also accept the batch-scheduler
-    options ``partition=True`` (split every batch into independent
-    regions before applying) and ``parallel=<workers>`` (opt-in
-    region-parallel application; implies partitioning).
+    CLI ``--engine`` selection.
 ``order-simplified``
     The Guo–Sekerinski simplified order-based engine
     (:class:`~repro.core.simplified.SimplifiedCoreMaintainer`): same
@@ -27,21 +23,7 @@ Names
     an engine — per the PR-10 ablation.  Carries the same
     policy/backend alias block as ``order``
     (``order-simplified-{small,large,random,om,treap}``) and the same
-    ``sequence`` / ``policy`` options, *and* — since it gained
-    batch-native runs (one joint removal cascade per affected level on
-    the ``d_in + d_out`` bound) — the same ``partition`` / ``parallel``
-    batch-scheduler options.
-``order-sharded``
-    The sharded order engine
-    (:class:`~repro.engine.sharded.ShardedOrderEngine`): one order
-    sub-engine per connected component group, so ``parallel=<workers>``
-    commits independent batch regions from a thread pool with **no**
-    engine-wide lock.  Accepts the order family's ``sequence`` /
-    ``policy`` options plus ``reshard="off" | "batch"`` (targeted
-    re-shard of disconnected shards after removal batches) and
-    ``engine="order" | "order-simplified"`` to pick the sub-engine
-    family; ``order-sharded-simplified`` pins the simplified family by
-    name.
+    ``sequence`` / ``policy`` options.
 ``trav-<h>``
     The traversal baseline with hop count ``h >= 2`` (``trav`` alone means
     ``trav-2``); any ``h`` is accepted, not just the pre-listed ones.
@@ -173,8 +155,6 @@ def make_engine(name: str, graph: DynamicGraph, **opts) -> CoreMaintainer:
     >>> from repro.graphs.undirected import DynamicGraph
     >>> make_engine("order", DynamicGraph([(0, 1)])).name
     'order'
-    >>> make_engine("order-sharded", DynamicGraph([(0, 1)]), parallel=2).name
-    'order-sharded'
 
     Unknown names raise ``ValueError`` listing what is available;
     unknown *options* raise :class:`~repro.errors.EngineOptionError`
@@ -210,81 +190,34 @@ def _make_order(policy: str, sequence: str = None):
         audit: bool = False,
         policy: str = policy,
         sequence: str = sequence,
-        partition: bool = False,
-        parallel=None,
     ):
         from repro.core.maintainer import OrderedCoreMaintainer
 
         opts = {} if sequence is None else {"sequence": sequence}
         return OrderedCoreMaintainer(
-            graph, policy=policy, seed=seed, audit=audit,
-            partition=partition, parallel=parallel, **opts
+            graph, policy=policy, seed=seed, audit=audit, **opts
         )
 
     return factory
 
 
 def _make_simplified(policy: str, sequence: str = None):
-    # Same deferred-default contract — and the same batch-scheduler
-    # knobs — as _make_order: since the simplified engine gained
-    # batch-native runs, partition/parallel schedule them identically.
+    # Same deferred-default contract as _make_order.
     def factory(
         graph: DynamicGraph,
         seed=0,
         audit: bool = False,
         policy: str = policy,
         sequence: str = sequence,
-        partition: bool = False,
-        parallel=None,
     ):
         from repro.core.simplified import SimplifiedCoreMaintainer
 
         opts = {} if sequence is None else {"sequence": sequence}
         return SimplifiedCoreMaintainer(
-            graph, policy=policy, seed=seed, audit=audit,
-            partition=partition, parallel=parallel, **opts
+            graph, policy=policy, seed=seed, audit=audit, **opts
         )
 
     return factory
-
-
-def _make_sharded(
-    graph: DynamicGraph,
-    seed=0,
-    audit: bool = False,
-    policy: str = "small",
-    sequence: str = None,
-    parallel=None,
-    reshard: str = "off",
-    partition: bool = True,
-    engine: str = "order",
-):
-    from repro.engine.sharded import ShardedOrderEngine
-
-    opts = {} if sequence is None else {"sequence": sequence}
-    return ShardedOrderEngine(
-        graph, policy=policy, seed=seed, audit=audit, parallel=parallel,
-        reshard=reshard, partition=partition, engine=engine, **opts
-    )
-
-
-def _make_sharded_simplified(
-    graph: DynamicGraph,
-    seed=0,
-    audit: bool = False,
-    policy: str = "small",
-    sequence: str = None,
-    parallel=None,
-    reshard: str = "off",
-    partition: bool = True,
-):
-    # The sub-engine family is what the name pins, so it is not an
-    # option here — engine= on this alias is a loud EngineOptionError.
-    return _make_sharded(
-        graph, seed=seed, audit=audit, policy=policy, sequence=sequence,
-        parallel=parallel, reshard=reshard, partition=partition,
-        engine="order-simplified",
-    )
 
 
 def _make_traversal(graph: DynamicGraph, h: int = 2, seed=None, audit: bool = False):
@@ -314,8 +247,8 @@ def _register_order_family(base: str, maker) -> None:
 
 _register_order_family("order", _make_order)
 _register_order_family("order-simplified", _make_simplified)
-register_engine("order-sharded", _make_sharded)
-register_engine("order-sharded-simplified", _make_sharded_simplified)
+
+
 def _make_traversal_at(h: int):
     def factory(graph: DynamicGraph, seed=None, audit: bool = False):
         return _make_traversal(graph, h=h, seed=seed, audit=audit)

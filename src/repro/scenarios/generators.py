@@ -27,8 +27,8 @@ The families target the engines' distinct stress axes:
     labels (Bender relabel cascades).
 ``shard-merge-storm``
     Disjoint clique pockets repeatedly bridged into one component and
-    severed again — every cycle forces the sharded engine to merge
-    sub-engines and split them back.
+    severed again — component merge/split churn across many cheap
+    updates that cross clique boundaries.
 ``mixed``
     The Fig. 12-style interleaved insert/remove mix (the one source of
     truth for :func:`repro.bench.workloads.interleave_removals`).
@@ -302,10 +302,9 @@ def shard_merge_storm(
     """Disjoint clique pockets repeatedly bridged and severed.
 
     The base graph is ``pockets`` disjoint cliques — one connected
-    component each, so the sharded engine materializes one sub-engine
-    per pocket.  Every cycle inserts a ring of bridges (forcing a chain
-    of shard merges into one component) and the next tick removes them
-    all (forcing the splits back); bridge endpoints rotate per cycle.
+    component each.  Every cycle inserts a ring of bridges (merging the
+    pockets into one component) and the next tick removes them all
+    (splitting it back); bridge endpoints rotate per cycle.
     """
     params = dict(scale=scale, cycles=cycles, pockets=pockets,
                   pocket_size=pocket_size)

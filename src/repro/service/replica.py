@@ -35,7 +35,13 @@ from repro.analysis import kcore_views
 from repro.engine.registry import make_engine
 from repro.errors import LogCorruptionError, ReproError
 from repro.graphs.undirected import DynamicGraph
-from repro.service.wal import batch_from_ops, read_header, scan, tail
+from repro.service.wal import (
+    batch_from_ops,
+    header_engine,
+    read_header,
+    scan,
+    tail,
+)
 from repro.testing.faults import InjectedFault, inject, register_fault_point
 
 Vertex = Hashable
@@ -110,11 +116,9 @@ class LogReplica:
                     f"{header.get('base_receipt', 0)}) but "
                     f"{str(snap_path)!r} is missing"
                 )
+            name, opts = header_engine(header)
             engine = make_engine(
-                header["engine"],
-                DynamicGraph(),
-                seed=header.get("seed", 0),
-                **header.get("opts", {}),
+                name, DynamicGraph(), seed=header.get("seed", 0), **opts
             )
         applied = base
         for receipt_id, ops in info.records:

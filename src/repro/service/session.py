@@ -118,7 +118,7 @@ class CoreService:
         ``graph`` may be a :class:`~repro.graphs.undirected.DynamicGraph`
         (adopted as-is), any iterable of edges, or ``None`` for an empty
         graph.  ``engine`` is any :func:`~repro.engine.registry.make_engine`
-        name (``"order"``, ``"order-treap"``, ``"order-sharded"``,
+        name (``"order"``, ``"order-treap"``, ``"order-simplified"``,
         ``"trav-<h>"``, ``"naive"``, …); extra options go to the engine
         factory, which rejects names it does not understand.
 
@@ -210,6 +210,7 @@ class CoreService:
             DEFAULT_FSYNC_EVERY,
             WriteAheadLog,
             batch_from_ops,
+            header_engine,
             scan,
         )
 
@@ -230,11 +231,9 @@ class CoreService:
                     f"snapshot (receipt {header.get('base_receipt', 0)}) "
                     f"but {str(snap_path)!r} is missing"
                 )
+            name, opts = header_engine(header)
             engine = make_engine(
-                header["engine"],
-                DynamicGraph(),
-                seed=header.get("seed", 0),
-                **header.get("opts", {}),
+                name, DynamicGraph(), seed=header.get("seed", 0), **opts
             )
         service = cls(engine)
         replayed = skipped = 0
@@ -335,17 +334,13 @@ class CoreService:
 
         Idempotent.  Reads keep working on the final state; any further
         commit (or :meth:`compact`) raises
-        :class:`~repro.errors.ServiceError`.  Engines with their own
-        resources (the sharded engine's worker pool) are closed too.
+        :class:`~repro.errors.ServiceError`.
         """
         if self._closed:
             return
         self._closed = True
         if self._wal is not None:
             self._wal.close()
-        engine_close = getattr(self._engine, "close", None)
-        if callable(engine_close):
-            engine_close()
 
     def __enter__(self) -> "CoreService":
         return self

@@ -289,6 +289,31 @@ def batch_from_ops(ops: list) -> Batch:
     return Batch((kind, (u, v)) for kind, u, v in ops)
 
 
+def header_engine(header: dict) -> tuple[str, dict]:
+    """The engine registry name and options a log header pins.
+
+    Older logs may pin engines and options that no longer exist: the
+    per-component engines ``order-sharded`` (whose ``engine`` option
+    named the sub-engine family) and ``order-sharded-simplified``, their
+    ``reshard`` option, and the order family's ``partition`` /
+    ``parallel`` batch-region knobs.  Those resolve to the plain order
+    family with the knobs dropped.  The result is exact: a log holds
+    ops, core numbers depend only on the final graph, and those engines
+    never wrote snapshots.  Every other name and option passes through
+    untouched, so :func:`~repro.engine.registry.make_engine` still
+    rejects what it does not know.
+    """
+    name = header["engine"]
+    opts = dict(header.get("opts", {}))
+    if name in ("order-sharded", "order-sharded-simplified"):
+        name = opts.pop("engine", name.replace("-sharded", ""))
+        opts.pop("reshard", None)
+    if name.startswith("order"):
+        opts.pop("partition", None)
+        opts.pop("parallel", None)
+    return name, opts
+
+
 class WriteAheadLog:
     """An open, appendable commit log.
 

@@ -125,15 +125,6 @@ class TestCommands:
         assert code == 0
         assert "order-large" in out
 
-    def test_batch_with_region_scheduler_flags(self, capsys):
-        code, out = run_cli(
-            capsys, "batch", "--datasets", "ca", "--updates", "20",
-            "--scale", "0.15", "--batch-size", "10",
-            "--partition", "--parallel", "2",
-        )
-        assert code == 0
-        assert "speedup" in out and "order" in out
-
 
 class TestDurabilityCommands:
     def make_log(self, tmp_path):

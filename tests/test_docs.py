@@ -3,9 +3,8 @@
 Two halves:
 
 * the public façade's docstring examples (``CoreService``,
-  ``Transaction``, ``Batch``, ``make_engine``, the sharded engine) run
-  as doctests — the same modules CI also runs under
-  ``pytest --doctest-modules``;
+  ``Transaction``, ``Batch``, ``make_engine``) run as doctests — the
+  same modules CI also runs under ``pytest --doctest-modules``;
 * every relative markdown link in README.md, ROADMAP.md and docs/ must
   point at a file that exists, and README must link the documentation
   suite.
@@ -24,7 +23,6 @@ REPO = Path(__file__).resolve().parent.parent
 FACADE_MODULES = (
     "repro.engine.batch",
     "repro.engine.registry",
-    "repro.engine.sharded",
     "repro.service.session",
     "repro.service.transactions",
 )

@@ -145,13 +145,9 @@ class TestEngineOptionValidation:
         ("order-small", {"audit": True}),
         ("order-large", {"seed": 3}),
         ("order-random", {"seed": 3}),
-        ("order-om", {"partition": True}),
-        ("order-treap", {"parallel": 2}),
-        ("order-sharded", {"parallel": 2, "reshard": "batch"}),
-        ("order-sharded", {"engine": "order-simplified"}),
-        ("order-sharded-simplified", {"parallel": 2, "reshard": "batch"}),
+        ("order-om", {"seed": 3}),
+        ("order-treap", {"audit": True}),
         ("order-simplified", {"policy": "large"}),
-        ("order-simplified", {"partition": True, "parallel": 2}),
         ("order-simplified-treap", {"audit": True}),
         ("naive", {"seed": 1}),
         ("trav", {"audit": True}),
@@ -184,14 +180,6 @@ class TestEngineOptionValidation:
         # fail instead of silently fighting the name.
         with pytest.raises(EngineOptionError, match="'h'"):
             make_engine("trav-3", DynamicGraph(), h=5)
-
-    def test_sharded_simplified_alias_pins_the_sub_engine(self):
-        # The alias name *is* the sub-engine selection; engine= on it
-        # must fail instead of silently fighting the name.
-        with pytest.raises(EngineOptionError, match="'engine'"):
-            make_engine(
-                "order-sharded-simplified", DynamicGraph(), engine="order"
-            )
 
     def test_var_keyword_factories_validate_themselves(self):
         calls = []
@@ -417,16 +405,10 @@ class TestBatchResult:
         # treap backend assigns no labels.
         absent = "rank_walk_steps" if sequence == "om" else "relabels"
         for result in (first, second):
-            expected = {
-                "order_queries", "mcd_recomputations",
-                "regions", "region_max_size",
-            }
+            expected = {"order_queries", "mcd_recomputations"}
             assert expected <= set(result.counters)
             assert absent not in result.counters
             assert all(v >= 0 for v in result.counters.values())
-            # Partitioning is off by default: one region spanning the batch.
-            assert result.counters["regions"] == 1
-            assert result.counters["region_max_size"] == result.ops
         # Deltas, not cumulative totals: both batches did comparable
         # work, so neither batch's counters can contain the sum.
         totals = engine._batch_counters()

@@ -29,7 +29,6 @@ from engine_contract import (
     mixed_batch_stream,
     order_family_engines,
     representative_engines,
-    sharded_engines,
 )
 from repro.core.decomposition import core_numbers
 from repro.engine import Batch, make_engine
@@ -76,7 +75,7 @@ class TestRegistryCoverage:
 
     def test_battery_covers_every_registered_name(self):
         assert set(ALL_ENGINES) == set(available_engines())
-        assert len(ALL_ENGINES) >= 20
+        assert len(ALL_ENGINES) >= 19
 
     def test_every_covered_name_resolves(self):
         for name in ALL_ENGINES:
@@ -95,10 +94,6 @@ class TestRegistryCoverage:
             assert covered, f"{name} folds into no representative"
 
     def test_family_lists_are_consistent(self):
-        assert set(sharded_engines()) == {
-            "order-sharded", "order-sharded-simplified",
-        }
-        assert set(sharded_engines()) <= set(order_family_engines())
         assert set(order_family_engines()) <= set(representative_engines())
         assert SEQUENCE_BACKENDS == ("om", "treap")
 

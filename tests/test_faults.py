@@ -179,43 +179,6 @@ class TestInjectedFaultPropagation:
             with pytest.raises(InjectedFault):
                 engine.apply_batch(Batch().insert(3, 4))
 
-    def test_sharded_worker_fault_surfaces_from_pool(self):
-        graph = DynamicGraph([(1, 2), (2, 3), (10, 11), (11, 12)])
-        engine = make_engine("order-sharded", graph, parallel=2)
-        try:
-            with FaultPlan(seed=1).crash("shard.worker_commit"):
-                with pytest.raises(InjectedFault):
-                    engine.apply_batch(Batch().insert(3, 1).insert(12, 10))
-            # Satellite 2: the mirror graph and shard assignment stayed
-            # consistent despite the mid-batch worker death.
-            engine.check()
-            assert engine.core_numbers() == core_numbers(engine.graph)
-        finally:
-            engine.close()
-
-    def test_durable_sharded_session_recovers_from_worker_fault(
-        self, tmp_path
-    ):
-        log = tmp_path / "s.wal"
-        svc = CoreService.open(engine="order-sharded", log=log, fsync="never")
-        with svc.transaction() as tx:
-            for u, v in [(1, 2), (2, 3), (10, 11), (11, 12)]:
-                tx.insert(u, v)
-        with FaultPlan(seed=1).crash("shard.worker_commit"):
-            with pytest.raises(InjectedFault):
-                with svc.transaction() as tx:
-                    tx.insert(3, 1)
-                    tx.insert(12, 10)
-        # The batch WAS logged (write-ahead): recovery replays it fully,
-        # healing the partial application the crash left behind.
-        rec = CoreService.recover(log)
-        assert rec.engine.graph.has_edge(3, 1)
-        assert rec.engine.graph.has_edge(12, 10)
-        rec.engine.check()
-        assert rec.cores() == core_numbers(rec.engine.graph)
-        rec.close()
-        svc.close()
-
 
 class TestRegisterFaultPoint:
     """The extension hook: layers above the WAL register their own
@@ -291,8 +254,7 @@ class TestPointCatalogue:
         reached = set()
         for point in crash_points:
             log = tmp_path / f"{point}.wal"
-            engine = "order-sharded" if point.startswith("shard") else "order"
-            svc = CoreService.open(engine=engine, log=log, fsync="always")
+            svc = CoreService.open(engine="order", log=log, fsync="always")
             with svc.transaction() as tx:
                 for u, v in TRIANGLE:
                     tx.insert(u, v)
@@ -301,8 +263,7 @@ class TestPointCatalogue:
                     try:
                         with svc.transaction() as tx:
                             tx.insert(3, 4)
-                        if engine == "order":
-                            svc.compact()  # reaches snapshot.mid_write
+                        svc.compact()  # reaches snapshot.mid_write
                     except InjectedFault:
                         pass
                     if plan.fired:

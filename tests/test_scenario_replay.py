@@ -23,9 +23,8 @@ FIXTURE = "tests/data/snap_temporal_sample.txt"
 
 FAMILIES = sc.available_scenarios()
 
-#: The agreement matrix: the paper's engine, the simplified variant and
-#: the sharded deployment shape.
-ENGINES = ("order", "order-simplified", "order-sharded")
+#: The agreement matrix: the paper's engine and the simplified variant.
+ENGINES = ("order", "order-simplified")
 
 
 class TestCrossEngineAgreement:

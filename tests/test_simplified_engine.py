@@ -49,19 +49,6 @@ class TestRegistryFamily:
         engine = make_engine(f"order-simplified-{policy}", graph, seed=5)
         assert engine.core_numbers() == core_numbers(engine.graph)
 
-    def test_batch_scheduler_options(self):
-        # Since the engine gained batch-native runs, it carries the same
-        # region-scheduler options as the default order family; the
-        # schedule must report its shape and agree with recomputation.
-        edges, spare = random_gnm(18, 30, seed=9)
-        engine = make_engine(
-            "order-simplified", DynamicGraph(edges), partition=True,
-            parallel=2,
-        )
-        result = engine.apply_batch(Batch.inserts(spare[:10]))
-        assert result.counters["regions"] >= 1
-        assert engine.core_numbers() == core_numbers(engine.graph)
-
 
 class TestNoMcdProtocol:
     def test_mcd_is_derived_not_stored(self):

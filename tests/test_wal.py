@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.decomposition import core_numbers
 from repro.engine.batch import Batch
-from repro.errors import LogCorruptionError, ServiceError
+from repro.errors import EngineOptionError, LogCorruptionError, ServiceError
 from repro.service import CoreService, WriteAheadLog, log_stat
 from repro.service.wal import (
     WAL_VERSION,
@@ -482,3 +482,87 @@ class TestTokensAndTailing:
         log.unlink()
         make_log(log, base_receipt=5).close()
         assert tail(log, offset).rotated
+
+
+def _legacy_log(path, engine, opts, commits):
+    """A log exactly as an older version wrote it: a header pinning
+    ``engine`` / ``opts``, then one commit record per op list."""
+    import zlib
+
+    records = [{
+        "kind": "header", "version": 1, "engine": engine, "seed": 0,
+        "opts": opts, "base_receipt": 0,
+    }]
+    records += [
+        {"kind": "commit", "receipt": i, "ops": ops}
+        for i, ops in enumerate(commits, start=1)
+    ]
+    with open(path, "wb") as fh:
+        for record in records:
+            payload = json.dumps(record).encode()
+            fh.write(b"%d %08x " % (len(payload), zlib.crc32(payload)))
+            fh.write(payload + b"\n")
+
+
+#: Two triangles bridged, then a bridge and a triangle edge removed.
+LEGACY_COMMITS = [
+    [["insert", 1, 2], ["insert", 2, 3], ["insert", 1, 3],
+     ["insert", 10, 11], ["insert", 11, 12], ["insert", 10, 12]],
+    [["insert", 3, 10], ["insert", 2, 11], ["remove", 1, 2]],
+    [["remove", 3, 10], ["insert", 1, 4]],
+]
+
+
+class TestRetiredEngineHeaders:
+    """Logs whose header pins the removed sharded engines or the removed
+    ``partition`` / ``parallel`` knobs recover on the unsharded family —
+    exactly, since cores depend only on the replayed ops."""
+
+    @pytest.mark.parametrize("engine,opts,recovered_as", [
+        ("order-sharded", {}, "order"),
+        ("order-sharded", {"parallel": 2, "reshard": "batch"}, "order"),
+        ("order-sharded", {"engine": "order-simplified", "partition": True},
+         "order-simplified"),
+        ("order-sharded-simplified", {"parallel": 2, "reshard": "batch"},
+         "order-simplified"),
+        ("order-simplified", {"partition": True, "parallel": 2},
+         "order-simplified"),
+        ("order-treap", {"partition": True}, "order"),
+    ])
+    def test_legacy_header_recovers_exactly(
+        self, tmp_path, engine, opts, recovered_as
+    ):
+        from repro.service import LogReplica
+
+        log = tmp_path / "legacy.wal"
+        _legacy_log(log, engine, opts, LEGACY_COMMITS)
+        svc = CoreService.recover(log)
+        assert svc.engine.name == recovered_as
+        assert svc.recovery.replayed == len(LEGACY_COMMITS)
+        assert svc.cores() == core_numbers(svc.engine.graph)
+        assert not svc.engine.graph.has_edge(1, 2)
+        # The recovered session keeps committing onto the legacy log,
+        # and a second recovery (and a replica) read it back the same.
+        svc.insert(1, 2)
+        expected = svc.cores()
+        svc.close()
+        again = CoreService.recover(log)
+        assert again.cores() == expected
+        assert again.cores() == core_numbers(again.engine.graph)
+        again.close()
+        assert LogReplica(log).cores() == expected
+
+    @pytest.mark.parametrize("engine,opts,error", [
+        ("order-bogus", {}, ValueError),
+        ("order-sharded", {"engine": "order-bogus"}, ValueError),
+        ("order", {"turbo": True}, EngineOptionError),
+        ("order-sharded", {"turbo": True}, EngineOptionError),
+        ("naive", {"partition": True}, EngineOptionError),
+    ])
+    def test_unknown_names_and_options_still_fail(
+        self, tmp_path, engine, opts, error
+    ):
+        log = tmp_path / "legacy.wal"
+        _legacy_log(log, engine, opts, LEGACY_COMMITS)
+        with pytest.raises(error):
+            CoreService.recover(log)
