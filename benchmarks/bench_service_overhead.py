@@ -14,6 +14,13 @@ stream's natural tick granularity (``TemporalEdgeStream.ticks``), the
 end-to-end path where every same-tick arrival lands as one batch: one
 service commit per arrival tick plus one per expiry flush.
 
+A third bench prices the served reads — ``top(10)``, ``spectrum``,
+``degeneracy`` and the sorted ``kcore(k_max)`` through ``CoreService``
+— on G(n, 4n) at n=20k and n=100k (scaled with ``REPRO_BENCH_SCALE``
+relative to its 0.5 default), next to the full-scan
+:mod:`repro.analysis.kcore_views` functions the service answered with
+before it kept a level index.
+
 Every bench appends a record to a ``BENCH_service_overhead.json``
 artifact so CI keeps a machine-readable trajectory of the façade cost;
 set ``REPRO_BENCH_ARTIFACT_DIR`` to choose where it lands.
@@ -21,15 +28,21 @@ set ``REPRO_BENCH_ARTIFACT_DIR`` to choose where it lands.
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
 import pytest
 from _bench_common import BENCH_SCALE, BENCH_SEED, BENCH_UPDATES, once
 
+from repro.analysis import kcore_views
 from repro.bench.runner import build_engine, build_service
 from repro.bench.workloads import mixed_batch_workload
+from repro.engine.batch import vertex_sort_key
+from repro.engine.registry import DEFAULT_ENGINE
 from repro.graphs.datasets import load_dataset
+from repro.graphs.generators import erdos_renyi_gnm
+from repro.graphs.undirected import DynamicGraph
 from repro.streaming import SlidingWindowCoreMonitor
 
 #: Ops per batch in the mixed-batch replay.
@@ -41,6 +54,14 @@ REPLAYS = int(os.environ.get("REPRO_BENCH_REPLAYS", "3"))
 WALL_CLOCK_MIN_OPS = 200
 #: The acceptance bound: façade within 5% of raw apply_batch.
 OVERHEAD_BOUND = 1.05
+
+#: G(n, 4n) sizes of the read-cost bench: 20k and 100k at the default
+#: scale (0.5), shrunk proportionally at smaller scales.
+READ_SIZES = tuple(
+    max(500, int(n * BENCH_SCALE / 0.5)) for n in (20_000, 100_000)
+)
+#: Timed calls per read and path; the median is kept.
+READ_REPS = 15
 
 _RECORDS: list[dict] = []
 
@@ -181,3 +202,87 @@ def bench_monitor_tick_replay(benchmark):
     # per tick plus the expiry commits, never one per edge.
     assert monitor.stats.arrivals == len(stream)
     assert commits <= 2 * ticks + 1
+
+
+def _median_ms(fn, reps=READ_REPS, before=None):
+    """Median wall time of ``fn()`` in ms; ``before()`` runs untimed
+    ahead of each call."""
+    times = []
+    for _ in range(reps):
+        if before is not None:
+            before()
+        started = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - started)
+    return statistics.median(times) * 1000
+
+
+@pytest.mark.parametrize("n", READ_SIZES)
+def bench_read_cost(benchmark, n):
+    """Served reads from the level index vs the full-scan oracles.
+
+    ``index_ms`` repeats each read on an unchanged graph (the per-level
+    sort cache holds).  ``after_churn_ms`` first churns the top level:
+    it removes and re-inserts an edge of a top-level vertex with exactly
+    ``k_max`` neighbours in the top core (the max core always has one,
+    or the next core up would be non-empty), two single-edge commits
+    that drop it below ``k_max`` and back, so the read re-sorts that
+    level.
+    ``scan_ms`` is the oracle over the engine's core map, which is what
+    ``CoreService`` served before.
+    """
+    graph = DynamicGraph(erdos_renyi_gnm(n, 4 * n, seed=BENCH_SEED))
+    service = build_service(DEFAULT_ENGINE, graph, seed=BENCH_SEED)
+    core = service.engine.core
+    k_max = service.degeneracy()
+    edge = next(
+        (v, next(w for w in graph.adj[v] if core[w] == k_max))
+        for v in service.kcore(k_max)
+        if sum(core[w] == k_max for w in graph.adj[v]) == k_max
+    )
+
+    def churn():
+        service.remove(*edge)
+        service.insert(*edge)
+
+    reads = {
+        "top10": (
+            lambda: service.top(10),
+            lambda: kcore_views.top_cores(core, 10),
+        ),
+        "spectrum": (
+            service.spectrum,
+            lambda: kcore_views.core_spectrum(core),
+        ),
+        "degeneracy": (
+            service.degeneracy,
+            lambda: kcore_views.degeneracy(core),
+        ),
+        "kcore_kmax_sorted": (
+            lambda: service.kcore(k_max).sorted(),
+            lambda: sorted(
+                kcore_views.KCoreView(core, k_max), key=vertex_sort_key
+            ),
+        ),
+    }
+
+    def run():
+        rows = {}
+        for name, (served, scan) in reads.items():
+            assert served() == scan(), name
+            rows[name] = {
+                "index_ms": round(_median_ms(served), 4),
+                "after_churn_ms": round(
+                    _median_ms(served, before=churn), 4
+                ),
+                "scan_ms": round(_median_ms(scan), 4),
+            }
+            assert served() == scan(), name
+        rows["churn_2commits"] = {"index_ms": round(_median_ms(churn), 4)}
+        return rows
+
+    rows = once(benchmark, run)
+    entry = {"bench": f"read_cost_n{n}", "n": n, "m": 4 * n,
+             "k_max": k_max, "reads": rows}
+    _RECORDS.append(entry)
+    benchmark.extra_info.update(entry)

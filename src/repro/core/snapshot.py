@@ -58,6 +58,9 @@ def to_snapshot(maintainer: OrderEngine) -> dict:
     """
     order = maintainer.order()
     korder = maintainer.korder
+    # Read once: on the simplified engine ``mcd`` is a property that
+    # derives the whole mapping on every access.
+    mcd = maintainer.mcd
     return {
         "version": SNAPSHOT_VERSION,
         "engine": maintainer.name,
@@ -65,7 +68,7 @@ def to_snapshot(maintainer: OrderEngine) -> dict:
         "order": order,
         "core": [maintainer.core[v] for v in order],
         "deg_plus": [korder.deg_plus[v] for v in order],
-        "mcd": [maintainer.mcd[v] for v in order],
+        "mcd": [mcd[v] for v in order],
         "edges": sorted(
             [sorted((u, v), key=repr) for u, v in maintainer.graph.edges()],
             key=repr,

@@ -24,6 +24,7 @@ coalesce its ``mcd`` repair per run instead of per edge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import BatchError, SelfLoopError
@@ -42,8 +43,8 @@ def vertex_sort_key(vertex: Vertex) -> tuple[str, str]:
     ``(type name, repr)`` — stable across runs and comparable between any
     two vertices, which raw vertex comparison is not.  Shared by edge
     normalization, deterministic event ordering
-    (:mod:`repro.service.events`) and top-``n`` tie-breaking
-    (:func:`repro.analysis.kcore_views.top_cores`).
+    (:mod:`repro.service.events`) and top-``n`` / ``kcore`` ordering
+    (:class:`repro.analysis.kcore_views.CoreLevels`).
     """
     return (type(vertex).__name__, repr(vertex))
 
@@ -184,6 +185,10 @@ class Batch:
     def edges(self, kind: str) -> list[Edge]:
         """The edges of every op of ``kind``, in batch order."""
         return [op.edge for op in self._ops if op.kind == kind]
+
+    def vertices(self) -> Iterator[Vertex]:
+        """Both endpoints of every op, in batch order (with repeats)."""
+        return chain.from_iterable(op.edge for op in self._ops)
 
     def check_applicable(self, graph) -> None:
         """Raise :class:`~repro.errors.BatchError` unless every op is

@@ -8,7 +8,10 @@ ever touching the primary's write path — the fan-out story the ROADMAP's
 :func:`~repro.service.wal.tail` from its last frame offset (O(new
 bytes), not O(log)), applies only records it has not seen, and rebuilds
 itself from the compaction snapshot when it notices the log rotated
-under it (the header changed or the file shrank).
+under it (the header changed or the file shrank).  Like the primary,
+it answers from its own :class:`~repro.analysis.kcore_views.CoreLevels`
+index, built after each full replay and kept current from each tailed
+record's net core deltas.
 
 Staleness contract
 ------------------
@@ -31,7 +34,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Hashable
 
-from repro.analysis import kcore_views
+from repro.analysis.kcore_views import _MISSING, CoreLevels, KCoreView
 from repro.engine.registry import make_engine
 from repro.errors import LogCorruptionError, ReproError
 from repro.graphs.undirected import DynamicGraph
@@ -52,8 +55,6 @@ register_fault_point(
     "knowingly answers from stale state (behavioural: caught by the "
     "replica, counted in stale_serves)",
 )
-
-_MISSING = object()
 
 
 def _snapshot_path(log: Path) -> Path:
@@ -79,6 +80,7 @@ class LogReplica:
         self._log = Path(log)
         self._audit = audit
         self._engine = None
+        self._levels = CoreLevels()
         self._header: dict = {}
         self._offset = 0
         self._applied = 0
@@ -127,14 +129,17 @@ class LogReplica:
             self._replay(engine, receipt_id, ops)
             applied = receipt_id
         self._engine = engine
+        self._levels = CoreLevels(engine.core)
         self._header = header
         self._offset = info.valid_bytes
         self._applied = applied
         self.rebuilds += 1
 
-    def _replay(self, engine, receipt_id: int, ops: list) -> None:
+    def _replay(self, engine, receipt_id: int, ops: list):
+        """Apply one log record; returns ``(batch, result)``."""
+        batch = batch_from_ops(ops)
         try:
-            engine.apply_batch(batch_from_ops(ops))
+            return batch, engine.apply_batch(batch)
         except ReproError as exc:
             raise LogCorruptionError(
                 f"commit log {str(self._log)!r} record {receipt_id} does "
@@ -167,7 +172,8 @@ class LogReplica:
         for receipt_id, ops in chunk.records:
             if receipt_id <= self._applied:
                 continue
-            self._replay(self._engine, receipt_id, ops)
+            batch, result = self._replay(self._engine, receipt_id, ops)
+            self._levels.commit(result.changed, batch.vertices())
             self._applied = receipt_id
             applied += 1
         self._offset = chunk.offset
@@ -208,24 +214,19 @@ class LogReplica:
 
     def core(self, vertex: Vertex, default=_MISSING):
         """Core number of one vertex (``KeyError`` unless ``default``)."""
-        c = self._engine.core.get(vertex, _MISSING)
-        if c is _MISSING:
-            if default is _MISSING:
-                raise KeyError(vertex)
-            return default
-        return c
+        return self._levels.core(vertex, default)
 
     def cores(self) -> dict:
-        return dict(self._engine.core)
+        return self._levels.cores()
 
-    def kcore(self, k: int) -> kcore_views.KCoreView:
-        return kcore_views.KCoreView(self._engine.core, k, self.graph)
+    def kcore(self, k: int) -> KCoreView:
+        return self._levels.kcore(k, self.graph)
 
     def degeneracy(self) -> int:
-        return kcore_views.degeneracy(self._engine.core)
+        return self._levels.degeneracy()
 
     def top(self, n: int) -> list:
-        return kcore_views.top_cores(self._engine.core, n)
+        return self._levels.top(n)
 
     def spectrum(self) -> dict:
-        return kcore_views.core_spectrum(self._engine.core)
+        return self._levels.spectrum()

@@ -34,10 +34,19 @@ recorded in the session's write-ahead record
 the in-memory token cache, or — after a crash — from the cache rebuilt
 out of the recovered log.
 
+**One read path.**  Every query op (``core`` / ``cores`` / ``top`` /
+``spectrum`` / ``degeneracy`` / ``kcore``) is answered by one function
+over one reader interface: the read methods of
+:class:`~repro.service.CoreService` and
+:class:`~repro.service.replica.LogReplica`, both backed by a
+:class:`~repro.analysis.kcore_views.CoreLevels` index, so ``top``,
+``spectrum``, ``degeneracy`` and the sorted ``kcore`` cost O(answer +
+core levels) rather than a scan of every vertex.
+
 **Degraded-mode reads.**  While degraded or recovering, the session
-keeps answering ``core`` / ``top`` / ``spectrum`` / ``cores`` /
-``kcore`` from its *last-good* core map (maintained incrementally from
-commit receipts, never read from the poisoned engine), tagged
+keeps answering from its service's read index, which only successful
+commits update: after a poisoning commit it is exactly the *last-good*
+state, never the half-mutated engine.  Answers are tagged
 ``"source": "last_good"`` so clients know what they got.
 
 **Read replicas.**  Queries with ``replica=true`` are answered by a
@@ -73,7 +82,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from repro.analysis import kcore_views
 from repro.engine.batch import Batch, vertex_sort_key
 from repro.engine.registry import DEFAULT_ENGINE
 from repro.errors import BatchError, ReproError, ServiceError
@@ -276,9 +284,6 @@ class TenantSession:
         #: retry that arrives before the original resolves attaches to
         #: this future instead of enqueuing a second apply.
         self.pending_tokens: dict[str, asyncio.Future] = {}
-        #: Last-good core map, maintained incrementally from receipts —
-        #: the state degraded-mode reads answer from.
-        self.cores: dict = dict(service.cores())
         self.commits = 0
         self.shed = 0
         self.deadline_expired = 0
@@ -367,8 +372,6 @@ class TenantSession:
             else:
                 self.server.inflight -= 1
                 self.commits += 1
-                for vertex, delta in receipt.deltas.items():
-                    self.cores[vertex] = self.cores.get(vertex, 0) + delta
                 summary = {
                     "receipt_id": receipt.receipt_id,
                     "ops": receipt.ops,
@@ -410,7 +413,6 @@ class TenantSession:
             self.state = DEGRADED
             return
         self.service = service
-        self.cores = dict(service.cores())
         last_logged = self._load_tokens_from_log()
         self._receipt_floor = last_logged
         self.last_recovery = service.recovery
@@ -473,59 +475,22 @@ class TenantSession:
     # -- reads ----------------------------------------------------------
 
     def query(self, op: str, params: dict) -> dict:
-        """Answer one read; degraded/recovering states use last-good."""
+        """Answer one read; degraded/recovering states answer last-good.
+
+        Either way the reader is the session's service: a poisoned
+        service's read index still holds the last successful commit.
+        """
         if self.state == HEALTHY:
-            source, result = "primary", self._query_primary(op, params)
+            source = "primary"
         else:
             self.degraded_reads += 1
-            source, result = "last_good", self._query_last_good(op, params)
+            source = "last_good"
         return {
-            "result": result,
+            "result": answer_query(self.service, op, params),
             "source": source,
             "receipt": self._last_receipt_id(),
             "state": self.state,
         }
-
-    def _query_primary(self, op: str, params: dict):
-        svc = self.service
-        if op == "core":
-            return svc.core(params["vertex"], default=None)
-        if op == "cores":
-            return _pairs(svc.cores())
-        if op == "top":
-            return [list(pair) for pair in svc.top(int(params.get("n", 10)))]
-        if op == "spectrum":
-            return _pairs(svc.spectrum())
-        if op == "degeneracy":
-            return svc.degeneracy()
-        if op == "kcore":
-            view = svc.kcore(int(params["k"]))
-            return sorted(view, key=vertex_sort_key)
-        raise ServiceError(f"unknown query op {op!r}")
-
-    def _query_last_good(self, op: str, params: dict):
-        cores = self.cores
-        if op == "core":
-            return cores.get(params["vertex"])
-        if op == "cores":
-            return _pairs(cores)
-        if op == "top":
-            return [
-                list(pair)
-                for pair in kcore_views.top_cores(
-                    cores, int(params.get("n", 10))
-                )
-            ]
-        if op == "spectrum":
-            return _pairs(kcore_views.core_spectrum(cores))
-        if op == "degeneracy":
-            return kcore_views.degeneracy(cores)
-        if op == "kcore":
-            k = int(params["k"])
-            return sorted(
-                (v for v, c in cores.items() if c >= k), key=vertex_sort_key
-            )
-        raise ServiceError(f"unknown query op {op!r}")
 
     def status(self) -> dict:
         report = self.last_recovery
@@ -552,6 +517,30 @@ class TenantSession:
                 "from_snapshot": report.from_snapshot,
             },
         }
+
+
+def answer_query(reader, op: str, params: dict):
+    """The JSON-safe answer to one query op, from any core reader.
+
+    ``reader`` is anything with the read methods of
+    :class:`~repro.analysis.kcore_views.CoreLevels` (``core``,
+    ``cores``, ``top``, ``spectrum``, ``degeneracy``, ``kcore``): the
+    session's :class:`~repro.service.CoreService`, healthy or poisoned,
+    or a :class:`~repro.service.replica.LogReplica`.
+    """
+    if op == "core":
+        return reader.core(params["vertex"], default=None)
+    if op == "cores":
+        return _pairs(reader.cores())
+    if op == "top":
+        return [list(pair) for pair in reader.top(int(params.get("n", 10)))]
+    if op == "spectrum":
+        return _pairs(reader.spectrum())
+    if op == "degeneracy":
+        return reader.degeneracy()
+    if op == "kcore":
+        return reader.kcore(int(params["k"])).sorted()
+    raise ServiceError(f"unknown query op {op!r}")
 
 
 def _pairs(mapping: dict) -> list:
@@ -974,7 +963,7 @@ class CoreServer:
         if params.get("replica"):
             replica = await asyncio.to_thread(self._get_replica, session)
             await asyncio.to_thread(replica.refresh)
-            payload = _replica_query(replica, op, params)
+            payload = answer_query(replica, op, params)
             return protocol.ok(req_id, {
                 "result": payload,
                 "source": "replica",
@@ -1014,18 +1003,3 @@ class CoreServer:
         subscriber.close()
         return protocol.ok(req_id, {"sub": sub_id, "closed": True})
 
-
-def _replica_query(replica: LogReplica, op: str, params: dict):
-    if op == "core":
-        return replica.core(params["vertex"], default=None)
-    if op == "cores":
-        return _pairs(replica.cores())
-    if op == "top":
-        return [list(pair) for pair in replica.top(int(params.get("n", 10)))]
-    if op == "spectrum":
-        return _pairs(replica.spectrum())
-    if op == "degeneracy":
-        return replica.degeneracy()
-    if op == "kcore":
-        return sorted(replica.kcore(int(params["k"])), key=vertex_sort_key)
-    raise ServiceError(f"unknown query op {op!r}")

@@ -9,8 +9,9 @@ A service wraps one maintenance engine behind three surfaces:
 * **reads** — :meth:`~CoreService.core`, :meth:`~CoreService.cores`,
   :meth:`~CoreService.kcore`, :meth:`~CoreService.degeneracy`,
   :meth:`~CoreService.top`, :meth:`~CoreService.spectrum`, all answered
-  through :mod:`repro.analysis.kcore_views` over the engine's public
-  core mapping — never through maintainer internals;
+  from a :class:`~repro.analysis.kcore_views.CoreLevels` index the
+  service keeps from each commit's net core deltas — never through
+  maintainer internals;
 * **reactions** — :meth:`~CoreService.subscribe` delivers
   :class:`~repro.service.events.CoreEvent` records derived from each
   commit's exact net core deltas.
@@ -30,7 +31,7 @@ import json
 from pathlib import Path
 from typing import Hashable, Iterable, NamedTuple, Optional, Union
 
-from repro.analysis import kcore_views
+from repro.analysis.kcore_views import _MISSING, CoreLevels, KCoreView
 from repro.engine.base import CoreMaintainer
 from repro.engine.batch import Batch
 from repro.engine.registry import DEFAULT_ENGINE, make_engine
@@ -42,8 +43,6 @@ from repro.testing.faults import inject
 
 Vertex = Hashable
 Edge = tuple[Vertex, Vertex]
-
-_MISSING = object()
 
 
 class RecoveryReport(NamedTuple):
@@ -89,6 +88,7 @@ class CoreService:
 
     def __init__(self, engine: CoreMaintainer) -> None:
         self._engine = engine
+        self._levels = CoreLevels(engine.core)
         self._subscribers: list[Subscription] = []
         self._next_receipt = 1
         self._last_receipt: Optional[CommitReceipt] = None
@@ -235,7 +235,6 @@ class CoreService:
             engine = make_engine(
                 name, DynamicGraph(), seed=header.get("seed", 0), **opts
             )
-        service = cls(engine)
         replayed = skipped = 0
         for receipt_id, ops in info.records:
             if receipt_id <= base:
@@ -249,6 +248,9 @@ class CoreService:
                     f"not apply to the recovered state: {exc}"
                 ) from exc
             replayed += 1
+        # Built after the replay: the read index starts from the
+        # recovered state instead of following every replayed record.
+        service = cls(engine)
         service._next_receipt = max(info.last_receipt, base) + 1
         service._wal = WriteAheadLog.attach(
             log,
@@ -366,7 +368,7 @@ class CoreService:
         The escape hatch for per-edge measurement and analysis helpers
         that consume a :class:`~repro.engine.base.CoreMaintainer`; treat
         it as read-only — updates applied behind the service's back are
-        invisible to subscribers.
+        invisible to subscribers and to the service's reads.
         """
         return self._engine
 
@@ -405,10 +407,11 @@ class CoreService:
     def poisoned(self) -> bool:
         """Whether a mid-commit engine failure invalidated the session.
 
-        A poisoned session still answers reads (from the possibly
-        half-mutated in-memory state — callers wanting last-*good* state
-        must keep their own, as the serving front's degraded mode does)
-        but refuses every further commit.  On a logged session,
+        A poisoned session still answers reads, from its read index,
+        which only successful commits update: they see exactly the
+        last-*good* state, never the half-mutated engine (the serving
+        front's degraded mode reads them).  It refuses every further
+        commit.  On a logged session,
         :meth:`recover` builds a clean replacement from the log.
         """
         return self._poisoned
@@ -498,6 +501,9 @@ class CoreService:
             raise
         deltas = result.changed
         core = self._engine.core
+        # Only a batch that grew the vertex set has endpoints to index.
+        new = batch.vertices() if len(core) > len(self._levels) else ()
+        self._levels.commit(deltas, new)
         receipt = CommitReceipt(
             receipt_id=receipt_id,
             result=result,
@@ -517,7 +523,7 @@ class CoreService:
         return receipt
 
     # ------------------------------------------------------------------
-    # Reads (backed by analysis.kcore_views)
+    # Reads (backed by the CoreLevels index)
     # ------------------------------------------------------------------
 
     def core(self, vertex: Vertex, default=_MISSING) -> int:
@@ -526,34 +532,30 @@ class CoreService:
         Raises ``KeyError`` for a vertex the service has never seen,
         unless ``default`` is given.
         """
-        c = self._engine.core.get(vertex, _MISSING)
-        if c is _MISSING:
-            if default is _MISSING:
-                raise KeyError(vertex)
-            return default
-        return c
+        return self._levels.core(vertex, default)
 
     def cores(self) -> dict[Vertex, int]:
         """A snapshot copy of every vertex's core number."""
-        return dict(self._engine.core)
+        return self._levels.cores()
 
-    def kcore(self, k: int) -> kcore_views.KCoreView:
+    def kcore(self, k: int) -> KCoreView:
         """A lazy, live membership view of the ``k``-core.
 
-        O(1) membership tests, on-demand iteration, and it always
-        answers for the *current* graph — no copy is taken.  Call
-        ``.vertices()`` to pin a set or ``.subgraph()`` for the induced
-        graph.
+        O(1) membership tests, on-demand iteration over the index's
+        level blocks, and it always answers for the *current* graph —
+        no copy is taken.  Call ``.vertices()`` to pin a set,
+        ``.sorted()`` for a deterministic list or ``.subgraph()`` for
+        the induced graph.
         """
-        return kcore_views.KCoreView(self._engine.core, k, self.graph)
+        return self._levels.kcore(k, self.graph)
 
     def degeneracy(self) -> int:
         """The largest ``k`` with a non-empty ``k``-core."""
-        return kcore_views.degeneracy(self._engine.core)
+        return self._levels.degeneracy()
 
     def top(self, n: int) -> list[tuple[Vertex, int]]:
         """The ``n`` vertices with the highest core numbers (descending)."""
-        return kcore_views.top_cores(self._engine.core, n)
+        return self._levels.top(n)
 
     def spectrum(self) -> dict[int, int]:
         """Map ``k -> |k-shell|`` for every non-empty shell.
@@ -561,7 +563,7 @@ class CoreService:
         >>> CoreService.open([(0, 1), (1, 2), (2, 0), (2, 3)]).spectrum()
         {1: 1, 2: 3}
         """
-        return kcore_views.core_spectrum(self._engine.core)
+        return self._levels.spectrum()
 
     # ------------------------------------------------------------------
     # Event stream

@@ -412,6 +412,41 @@ class TestFailover:
                 await client.close()
         run(scenario())
 
+    def test_last_good_keeps_vertices_new_at_net_zero(self, tmp_path):
+        """A batch that inserts and removes one new edge leaves both
+        endpoints at core 0 with no core delta; degraded reads must
+        still know them, exactly as the primary did."""
+        async def scenario():
+            async with CoreServer() as server:
+                host, port = await server.start()
+                client = await CoreClient.connect(host, port, session="t")
+                await client.commit(TRIANGLE)
+                summary = await client.commit(
+                    [("insert", 7, 8), ("remove", 7, 8)]
+                )
+                assert summary["changed"] == []
+                reads = [("core", {"vertex": 7}), ("cores", {}),
+                         ("top", {"n": 10}), ("spectrum", {}),
+                         ("degeneracy", {}), ("kcore", {"k": 0})]
+                primary = [
+                    (await client.query(op, **params))["result"]
+                    for op, params in reads
+                ]
+                assert primary[0] == 0
+                assert [0, 2] in primary[3]  # spectrum's 0-shell
+                with FaultPlan().crash("engine.mid_batch"):
+                    with pytest.raises(RetryAfterError):
+                        await client.commit(
+                            [("insert", 0, 9)], retry=False
+                        )
+                await wait_for_state(client, "degraded")
+                for (op, params), want in zip(reads, primary):
+                    reply = await client.query(op, **params)
+                    assert reply["source"] == "last_good"
+                    assert reply["result"] == want, op
+                await client.close()
+        run(scenario())
+
 
 class TestSubscriptions:
     def test_events_stream_to_client(self, tmp_path):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.core.maintainer import OrderedCoreMaintainer
+from repro.core.simplified import SimplifiedCoreMaintainer
 from repro.core.snapshot import (
     from_snapshot,
     load_snapshot,
@@ -26,6 +27,25 @@ class TestSnapshot:
         assert restored.order() == original.order()
         assert dict(restored.mcd) == dict(original.mcd)
         assert restored.graph.m == original.graph.m
+
+    def test_simplified_mcd_is_derived_once_per_snapshot(self, monkeypatch):
+        """``mcd`` rebuilds the whole mapping on every access on the
+        simplified engine; reading it per vertex made snapshots O(V^2)."""
+        engine = SimplifiedCoreMaintainer(random_gnm(60, 150, seed=4))
+        derive = SimplifiedCoreMaintainer.mcd.fget
+        reads = []
+
+        def counting(self):
+            reads.append(1)
+            return derive(self)
+
+        monkeypatch.setattr(
+            SimplifiedCoreMaintainer, "mcd", property(counting)
+        )
+        snapshot = to_snapshot(engine)
+        assert len(reads) == 1
+        mcd = derive(engine)
+        assert snapshot["mcd"] == [mcd[v] for v in snapshot["order"]]
 
     def test_restored_engine_keeps_working(self, triangle_graph):
         original = OrderedCoreMaintainer(triangle_graph, seed=1)
