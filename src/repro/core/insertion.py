@@ -23,19 +23,30 @@ the new order (see the paper's rationale at the end of Section V-B).
 Implementation notes
 --------------------
 * All order tests go through ``block.order_key`` tokens, never ``rank``:
-  with the OM-list backend a token compares in O(1) (live label lookup),
-  with the treap backend it is the frozen rank at grant time.  Both are
-  safe for the same reason: every comparison the scan makes crosses the
-  cursor (heap members and ``deg*`` recipients sit *after* it, settled
-  and untouched vertices *before* it), and Observation 6.1 repositioning
-  only moves evicted candidates to just behind the cursor, so relative
-  positions across the cursor — and hence token comparisons — never
-  change while the scan can still observe them.
+  plain ints — the node's label under the OM-list backend, the frozen
+  rank at grant time under the treap — so the jump heap compares its
+  ``(key, vertex)`` entries in C.  Both are safe for the same reason:
+  every comparison the scan makes crosses the cursor (heap members and
+  ``deg*`` recipients sit *after* it, settled and untouched vertices
+  *before* it), and Observation 6.1 repositioning only moves evicted
+  candidates to just behind the cursor, so relative positions across the
+  cursor — and hence token comparisons — never change while the scan can
+  still observe them.
+* A cascade's evictions are spliced behind the cursor once, after the
+  cascade (:func:`_splice_evicted`), not one move per evictee.  Deferring
+  the moves is safe because no comparison inside a cascade involves a
+  moved vertex: unvisited vertices are compared only with the cursor,
+  and the moved vertices land between the cursor and them.  That splice
+  is the only place a scan can trigger an OM relabeling, which rewrites
+  labels in place and so stales every key in the heap; the splice then
+  re-keys the heap's live entries (one *keying epoch* per relabel).
+  Within an epoch no two vertices share a label, so ``heapq`` never
+  compares vertices.
 * The Algorithm 3 order test ``w' ≼ w''`` between two candidates must use
-  their *original* positions (the evictee may already have been
-  repositioned).  Candidates are visited in original block order, so the
-  visit sequence number recorded at visit time is an exact O(1) proxy
-  for the original rank under either backend.
+  their *original* positions.  Candidates are visited in original block
+  order, so the visit sequence number recorded at visit time is an exact
+  O(1) proxy for the original rank under either backend, with no order
+  query.
 """
 
 from __future__ import annotations
@@ -152,8 +163,9 @@ def _remove_candidates(
 
     ``settled`` just left the candidate pool's reach (it stays at core K),
     so each candidate neighbor loses one unit of ``deg+``; any candidate
-    dropping to ``deg* + deg+ <= K`` is evicted, settles right after the
-    cursor (keeping O'_K consistent), and propagates further losses.
+    dropping to ``deg* + deg+ <= K`` is evicted and propagates further
+    losses.  The evicted candidates then settle right after the cursor,
+    in eviction order (keeping O'_K consistent), in one splice.
 
     ``key_cursor`` is the cursor's order token (``settled``'s heap key):
     unvisited vertices still compare after it, untouched skipped ranges
@@ -169,16 +181,14 @@ def _remove_candidates(
                 queue.append(w)
                 queued.add(w)
 
-    anchor = settled
+    evicted: list[Vertex] = []
     while queue:
         w1 = queue.popleft()
-        # Evict w1: absorb deg*, settle immediately after the anchor.
-        # move_after (not remove+reinsert) so any stale heap entry still
-        # keying on w1 keeps comparing by live position.
+        # Evict w1: absorb deg*; it lands behind the cursor in the one
+        # splice after the cascade.
         deg_plus[w1] += deg_star.pop(w1, 0)
         status[w1] = _SETTLED
-        block.move_after(anchor, w1)
-        anchor = w1
+        evicted.append(w1)
         seq_w1 = visit_seq[w1]
         for w2 in graph.adj[w1]:
             if core_k_mismatch(block, w2):
@@ -204,6 +214,27 @@ def _remove_candidates(
                     queue.append(w2)
                     queued.add(w2)
             # settled neighbors need no adjustment
+    if evicted:
+        _splice_evicted(block, heap, settled, evicted)
+
+
+def _splice_evicted(
+    block: SequenceIndex,
+    heap: LazyMinHeap,
+    settled: Vertex,
+    evicted: list[Vertex],
+) -> None:
+    """Settle a cascade's ``evicted`` candidates, in eviction order, right
+    after the ``settled`` cursor (Observation 6.1) in one splice.
+
+    The splice is the only place an insertion scan can relabel the OM
+    block; a relabeling stales every label held in ``heap``, so its live
+    entries are re-keyed before the scan pops again.
+    """
+    relabels = block.stats.relabels
+    block.move_chain_after(settled, evicted)
+    if block.stats.relabels != relabels:
+        heap.rekey(block.order_key)
 
 
 def core_k_mismatch(block: SequenceIndex, vertex: Vertex) -> bool:

@@ -58,6 +58,7 @@ from collections import deque
 from typing import Hashable, Iterable, Mapping, Optional
 
 from repro.core.decomposition import korder_decomposition
+from repro.core.insertion import _splice_evicted
 from repro.core.korder import DEFAULT_SEQUENCE, KOrder
 from repro.core.removal import RemovalRunResult
 from repro.engine.base import CoreMaintainer, UpdateResult
@@ -219,15 +220,14 @@ def _settle_candidates(
                 queue.append(w)
                 queued.add(w)
 
-    anchor = settled
+    evicted: list[Vertex] = []
     while queue:
         w1 = queue.popleft()
         absorbed = deg_star.pop(w1, 0)
         d_out[w1] += absorbed
         d_in[w1] -= absorbed
         status[w1] = _SETTLED
-        block.move_after(anchor, w1)
-        anchor = w1
+        evicted.append(w1)
         seq_w1 = visit_seq[w1]
         for w2 in graph.adj[w1]:
             if w2 not in block:
@@ -254,6 +254,8 @@ def _settle_candidates(
             # settled neighbors need no adjustment (Observation 6.1:
             # the eviction lands after the cursor, preserving their
             # already-absorbed accounting).
+    if evicted:
+        _splice_evicted(block, heap, settled, evicted)
 
 
 def simplified_remove(

@@ -1,9 +1,16 @@
 """Lazy-deletion min-heap: the jump structure ``B`` of ``OrderInsert``.
 
-``B`` holds ``(rank, vertex)`` pairs for the vertices of ``O_K`` that are
-still worth visiting (``deg*(v) > 0`` or ``deg+(v) > K``).  The scan of
-``OrderInsert`` repeatedly asks for the *earliest* such vertex and jumps
-straight to it, skipping everything in between (the paper's Case-2a ranges).
+``B`` holds ``(key, vertex)`` pairs for the vertices of ``O_K`` that are
+still worth visiting (``deg*(v) > 0`` or ``deg+(v) > K``), keyed by the
+block's integer ``order_key`` (an OM label or a treap rank), so entries
+compare in C.  The scan of ``OrderInsert`` repeatedly asks for the
+*earliest* such vertex and jumps straight to it, skipping everything in
+between (the paper's Case-2a ranges).  Within one keying, no two
+vertices of the scan's heap share a key, so ``heapq`` never falls
+through to comparing the vertices themselves (which may be of mixed,
+mutually unorderable types).  When the keys go stale wholesale — an OM
+relabeling — :meth:`LazyMinHeap.rekey` rebuilds the heap from the live
+items under fresh keys.
 
 Entries are discarded lazily: :meth:`discard` only drops the item from the
 live map, and stale heap entries are skipped during :meth:`peek`/:meth:`pop`.
@@ -19,7 +26,7 @@ discards interleave.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Hashable, Optional
+from typing import Any, Callable, Hashable, Optional
 
 
 class LazyMinHeap:
@@ -81,6 +88,15 @@ class LazyMinHeap:
         heapq.heappop(self._heap)
         del self._live[top[1]]
         return top
+
+    def rekey(self, key_of: Callable[[Hashable], Any]) -> None:
+        """Re-key every live item with ``key_of(item)`` and rebuild the
+        heap from the live items alone, dropping every stale entry."""
+        live = self._live
+        for item in live:
+            live[item] = key_of(item)
+        self._heap = [(key, item) for item, key in live.items()]
+        heapq.heapify(self._heap)
 
     def clear(self) -> None:
         """Drop all entries, live and stale."""

@@ -27,11 +27,16 @@ The other backend, :class:`repro.structures.treap.OrderStatisticTreap`,
 answers the same queries in O(log n) via rank walks; both plug into
 :class:`repro.core.korder.KOrder` (``sequence="om" | "treap"``).
 
-Order keys are the list nodes themselves (see ``order_key``), comparing
-by their *current* label: a relabeling rewrites labels in place, so keys
-held by a pending min-heap keep comparing correctly — the relative order
-of any two stored items never changes while both stay stored, which is
-exactly the invariant ``OrderInsert``'s jump heap relies on.
+Order keys are plain integers (see ``order_key``): the OM list hands out
+the node's current label, the treap its current rank, so a heap keyed on
+them compares in C.  A key is a snapshot.  Two keys order like their items
+as long as neither item has moved since its key was granted and, for the
+OM list, ``stats.relabels`` has not changed in between (a relabeling
+rewrites labels in place).  ``OrderInsert``'s jump heap keeps to that
+window: the scan's only relabels happen in the one
+:meth:`~SequenceIndex.move_chain_after` splice at the end of an eviction
+cascade, after which it re-keys its live entries
+(:meth:`repro.structures.heaps.LazyMinHeap.rekey`).
 """
 
 from __future__ import annotations
@@ -108,12 +113,13 @@ class SequenceIndex(Protocol):
 
     def precedes(self, a: Hashable, b: Hashable) -> bool: ...
 
-    def order_key(self, item: Hashable) -> Any:
-        """A token comparable against other tokens of this sequence.
+    def order_key(self, item: Hashable) -> int:
+        """An integer token comparable against other tokens of this
+        sequence.
 
-        Tokens order exactly like the items they were granted for, for as
-        long as the compared items stay stored — even across OM
-        relabelings.  This is what heaps key on instead of ranks.
+        Tokens order like the items they were granted for while neither
+        item has moved and, for the OM list, ``stats.relabels`` is
+        unchanged.  This is what heaps key on instead of ranks.
         """
         ...
 
@@ -142,9 +148,15 @@ class SequenceIndex(Protocol):
     def extend_back(self, items: Iterable[Hashable]) -> None: ...
 
     def move_after(self, anchor_item: Hashable, item: Hashable) -> None:
-        """Relocate a stored item to immediately after the anchor,
-        without invalidating previously granted order-key tokens for
-        items whose relative order is unchanged."""
+        """Relocate a stored item to immediately after the anchor."""
+        ...
+
+    def move_chain_after(
+        self, anchor_item: Hashable, items: Iterable[Hashable]
+    ) -> None:
+        """Relocate stored items, in their given order, to immediately
+        after the anchor — the same list as ``move_after`` calls chained
+        from the anchor through each moved item."""
         ...
 
     def remove(self, item: Hashable) -> None: ...
@@ -155,15 +167,7 @@ class SequenceIndex(Protocol):
 
 
 class _ListNode:
-    """One OM-list node: the item plus its integer order label.
-
-    Nodes double as the list's *live order keys* (what
-    :meth:`TaggedOrderList.order_key` returns): they compare by their
-    current label, and relabeling rewrites labels in place without
-    reordering items, so a node held as a heap key keeps comparing
-    correctly across relabelings.  Equality stays identity — one stored
-    item, one node — which is what lazy heaps use to recognize re-pushes.
-    """
+    """One OM-list node: the item plus its integer order label."""
 
     __slots__ = ("item", "label", "prev", "next")
 
@@ -172,18 +176,6 @@ class _ListNode:
         self.label = label
         self.prev: Optional[_ListNode] = None
         self.next: Optional[_ListNode] = None
-
-    def __lt__(self, other: "_ListNode") -> bool:
-        return self.label < other.label
-
-    def __le__(self, other: "_ListNode") -> bool:
-        return self.label <= other.label
-
-    def __gt__(self, other: "_ListNode") -> bool:
-        return self.label > other.label
-
-    def __ge__(self, other: "_ListNode") -> bool:
-        return self.label >= other.label
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"_ListNode({self.item!r}, label={self.label})"
@@ -195,12 +187,12 @@ class TaggedOrderList:
     A doubly-linked list between two sentinels labeled ``0`` and
     ``_SPAN``; stored nodes carry strictly increasing integer labels in
     between.  ``precedes`` is one integer comparison; insertion bisects
-    the neighboring label gap (with wide fast-path gaps for appends and
-    prepends, and batch-aware label preallocation for whole
-    :meth:`extend_front` chains) and, when a gap is exhausted, relabels
-    the smallest
-    enclosing label-aligned range whose density is below the level's
-    threshold — Bender et al.'s simplified tag-management policy.
+    the neighboring label gap (with fixed ``_GAP`` steps for appends and
+    prepends, and whole chains labeled in one pass by
+    :meth:`extend_front` and :meth:`move_chain_after`) and, when a gap
+    is exhausted, relabels the smallest enclosing label-aligned range
+    whose density is below the level's threshold — Bender et al.'s
+    simplified tag-management policy.
 
     Parameters
     ----------
@@ -271,11 +263,13 @@ class TaggedOrderList:
         self.stats.order_queries += 1
         return self._nodes[a].label < self._nodes[b].label
 
-    def order_key(self, item: Hashable) -> _ListNode:
-        """The item's node as a live comparable token — O(1) to produce
-        and to compare, and immune to relabeling (see :class:`_ListNode`)."""
+    def order_key(self, item: Hashable) -> int:
+        """The item's current label — O(1) to produce and to compare.
+
+        The token is a snapshot: it goes stale when the item moves or
+        when any relabeling (``stats.relabels``) rewrites labels."""
         self.stats.order_queries += 1
-        return self._nodes[item]
+        return self._nodes[item].label
 
     def rank(self, item: Hashable) -> int:
         """0-based position of ``item`` — O(position) list walk.
@@ -362,15 +356,15 @@ class TaggedOrderList:
         ``extend_front([a, b, c])`` on sequence ``[x]`` yields
         ``[a, b, c, x]`` — the ``OrderInsert`` ending-phase move.
 
-        The whole chain is labeled in one pass: a label gap sized to the
-        chain is reserved in front of the current first node and the
-        chain's labels are spread evenly across it.  Inserting the chain
-        one item at a time would repeatedly bisect the same gap and
-        trigger a relabeling roughly every ``log2(_GAP)`` items — the
-        "relabel storm" that made bulk loads pay O(chain * relabel) —
-        whereas the preallocated chain triggers at most one spread of
-        the existing labels (and typically none: the ``relabels``
-        counter stays flat).
+        The whole chain is labeled in one pass, stepping down from the
+        current first label by ``min(_GAP, first // (len + 1))`` per
+        item.  A fixed step keeps the front gap wide: repeated
+        single-item prepends (one promotion each) consume ``_GAP`` of it
+        apiece instead of halving it, so a block whose front gap was
+        once spread over the label space is never relabeled by
+        prepends.  An empty list spreads the chain over the whole label
+        space, and a front gap too small for the chain is widened by one
+        spread of the existing labels first.
         """
         chain = list(items)
         if not chain:
@@ -381,12 +375,15 @@ class TaggedOrderList:
                 raise ValueError(f"item {item!r} already stored in sequence")
             seen.add(item)
         first = self._head.next
-        if first.label <= len(chain):
-            # Not enough label room in front: spread the existing labels
-            # over the whole space once, instead of cascading per-item
-            # relabels while the chain lands.
-            self._spread()
-        step = first.label // (len(chain) + 1)
+        if first is self._tail:
+            step = self._SPAN // (len(chain) + 1)
+        else:
+            if first.label <= len(chain):
+                # Not enough label room in front: spread the existing
+                # labels over the whole space once, instead of cascading
+                # per-item relabels while the chain lands.
+                self._spread()
+            step = min(self._GAP, first.label // (len(chain) + 1))
         if step < 1:  # pragma: no cover - needs ~2^61 stored items
             previous: Optional[Hashable] = None
             for item in chain:
@@ -396,27 +393,19 @@ class TaggedOrderList:
                     self.insert_after(previous, item)
                 previous = item
             return
-        prev = self._head
-        label = 0
-        for item in chain:
-            label += step
-            node = _ListNode(item, label)
-            self._nodes[item] = node
-            node.prev = prev
-            prev.next = node
-            prev = node
-        prev.next = first
-        first.prev = prev
+        nodes = [_ListNode(item, 0) for item in chain]
+        for node in nodes:
+            self._nodes[node.item] = node
+        self._link_chain(
+            self._head, first, nodes, first.label - step * (len(nodes) + 1),
+            step,
+        )
 
     def move_after(self, anchor_item: Hashable, item: Hashable) -> None:
         """Relocate ``item`` to immediately after ``anchor_item``.
 
-        Reuses ``item``'s node (and hence its identity as an
-        :meth:`order_key` token): the node's label always reflects its
-        *current* position, so tokens held elsewhere — e.g. stale lazy
-        heap entries — keep comparing by live position instead of going
-        stale, which a remove-then-reinsert (fresh node) would cause.
-        """
+        The item's node is reused and relabeled for its new position;
+        order keys granted for it before the move are stale."""
         node = self._nodes[item]
         anchor = self._nodes[anchor_item]
         if anchor is node:
@@ -424,6 +413,42 @@ class TaggedOrderList:
         node.prev.next = node.next
         node.next.prev = node.prev
         self._place(node, anchor, anchor.next)
+
+    def move_chain_after(
+        self, anchor_item: Hashable, items: Iterable[Hashable]
+    ) -> None:
+        """Relocate ``items``, in their given order, to immediately after
+        ``anchor_item`` — the Algorithm 3 eviction splice.
+
+        The nodes are unlinked, then relinked as one chain whose labels
+        are spread evenly over the ``(anchor, anchor.next)`` gap, so a
+        cascade of evictions costs at most one relabeling instead of
+        bisecting the same gap once per item.  When that gap cannot hold
+        the chain, one range relabeling around the anchor, counting the
+        chain, labels it.  Raises :class:`KeyError` on a missing item and
+        :class:`ValueError` when the anchor is in the chain or an item
+        repeats, before moving anything.
+        """
+        anchor = self._nodes[anchor_item]
+        nodes = [self._nodes[item] for item in items]
+        if not nodes:
+            return
+        if len({id(node) for node in nodes}) != len(nodes):
+            raise ValueError("an item repeats in the moved chain")
+        if any(node is anchor for node in nodes):
+            raise ValueError(f"cannot move {anchor_item!r} after itself")
+        for node in nodes:
+            node.prev.next = node.next
+            node.next.prev = node.prev
+        nxt = anchor.next
+        step = (nxt.label - anchor.label) // (len(nodes) + 1)
+        if step < 1:
+            # Link the chain at the anchor's label; the relabeling counts
+            # it into the range it spreads, leaving the labels strict.
+            self._link_chain(anchor, nxt, nodes, anchor.label, 0)
+            self._relabel(anchor)
+            return
+        self._link_chain(anchor, nxt, nodes, anchor.label, step)
 
     def remove(self, item: Hashable) -> None:
         """Remove ``item`` from the sequence — O(1) unlink.
@@ -472,6 +497,27 @@ class TaggedOrderList:
         node.next = nxt
         prev.next = node
         nxt.prev = node
+
+    @staticmethod
+    def _link_chain(
+        prev: _ListNode,
+        nxt: _ListNode,
+        nodes: list[_ListNode],
+        base: int,
+        step: int,
+    ) -> None:
+        """Link unlinked ``nodes`` between ``prev`` and ``nxt`` with labels
+        ``base + step``, ``base + 2 * step``, ... (the caller checks they
+        fit strictly inside the gap)."""
+        label = base
+        for node in nodes:
+            label += step
+            node.label = label
+            node.prev = prev
+            prev.next = node
+            prev = node
+        prev.next = nxt
+        nxt.prev = prev
 
     def _relabel(self, anchor: _ListNode) -> None:
         """Redistribute labels around ``anchor`` (Bender-style).

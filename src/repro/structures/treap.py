@@ -152,8 +152,9 @@ class OrderStatisticTreap:
         to produce, and they go stale if items *before* ``item`` are
         inserted or removed.  ``OrderInsert`` only ever compares tokens
         across the scan cursor, where relative positions are stable, so
-        frozen ranks are safe there (see ``repro.core.insertion``); the
-        OM backend's tokens are live and never go stale.
+        frozen ranks are safe there (see ``repro.core.insertion``).  The
+        treap never relabels, so its keys never need the re-keying the
+        OM backend's labels get after a relabeling.
         """
         self.stats.order_queries += 1
         return self.rank(item)
@@ -305,16 +306,38 @@ class OrderStatisticTreap:
     def move_after(self, anchor_item: Hashable, item: Hashable) -> None:
         """Relocate ``item`` to immediately after ``anchor_item``.
 
-        Remove-then-reinsert: treap order keys are frozen rank *values*
-        (not node references), so unlike the OM list no node identity
-        needs preserving — the scan's cross-cursor comparisons stay valid
-        because a backward move never changes the rank of any vertex
-        after the cursor.
+        Remove-then-reinsert: treap order keys are frozen rank values,
+        and the scan's cross-cursor comparisons stay valid because a
+        backward move never changes the rank of any vertex after the
+        cursor.
         """
         if anchor_item == item:
             raise ValueError(f"cannot move {item!r} after itself")
         self.remove(item)
         self.insert_after(anchor_item, item)
+
+    def move_chain_after(
+        self, anchor_item: Hashable, items: Iterable[Hashable]
+    ) -> None:
+        """Relocate ``items``, in their given order, to immediately after
+        ``anchor_item`` — a loop of :meth:`move_after`, each item landing
+        after the previous one.
+
+        Raises :class:`KeyError` on a missing item and
+        :class:`ValueError` when the anchor is in the chain or an item
+        repeats, before moving anything.
+        """
+        chain = list(items)
+        for item in (anchor_item, *chain):
+            if item not in self._nodes:
+                raise KeyError(item)
+        if len(set(chain)) != len(chain):
+            raise ValueError("an item repeats in the moved chain")
+        if anchor_item in chain:
+            raise ValueError(f"cannot move {anchor_item!r} after itself")
+        for item in chain:
+            self.move_after(anchor_item, item)
+            anchor_item = item
 
     def remove(self, item: Hashable) -> None:
         """Remove ``item`` from the sequence.

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.structures.heaps import LazyMinHeap
 from repro.structures.sequence import (
     SequenceIndex,
     SequenceStats,
@@ -63,6 +64,59 @@ class TestSharedBehavior:
         assert seq.to_list() == list("aecdb")
         with pytest.raises(ValueError):
             seq.move_after("a", "a")
+        seq.check_invariants()
+
+    def test_move_chain_after_matches_per_item_moves(self, backend):
+        """One splice yields the list that chained ``move_after`` calls
+        yield, on random chains and anchors."""
+        rng = random.Random(5)
+        spliced = make_backend(backend)
+        stepped = make_backend(backend)
+        spliced.extend_back(range(300))
+        stepped.extend_back(range(300))
+        for _ in range(200):
+            items = spliced.to_list()
+            anchor = rng.choice(items)
+            chain = rng.sample([x for x in items if x != anchor],
+                               rng.randint(1, 12))
+            spliced.move_chain_after(anchor, chain)
+            previous = anchor
+            for item in chain:
+                stepped.move_after(previous, item)
+                previous = item
+            assert spliced.to_list() == stepped.to_list()
+            spliced.check_invariants()
+        spliced.move_chain_after(0, [])
+        assert spliced.to_list() == stepped.to_list()
+
+    def test_move_chain_after_tight_gap(self, backend):
+        """A chain wider than the anchor's label gap still lands in order
+        (the OM list relabels once for the whole chain)."""
+        stats = SequenceStats()
+        seq = make_backend(backend, stats)
+        if backend == "om":
+            seq._GAP = 2  # appends two labels apart: no gap holds a chain
+        seq.extend_back(range(50))
+        chain = [40, 3, 17, 49, 22, 8]
+        seq.move_chain_after(10, chain)
+        rest = [x for x in range(50) if x not in chain]
+        expected = rest[:rest.index(10) + 1] + chain + rest[rest.index(10) + 1:]
+        assert seq.to_list() == expected
+        assert stats.relabels == (1 if backend == "om" else 0)
+        seq.check_invariants()
+
+    def test_move_chain_after_rejects_bad_chains(self, backend):
+        seq = make_backend(backend)
+        seq.extend_back("abcdef")
+        with pytest.raises(KeyError):
+            seq.move_chain_after("a", ["c", "z"])
+        with pytest.raises(KeyError):
+            seq.move_chain_after("z", ["c"])
+        with pytest.raises(ValueError):
+            seq.move_chain_after("c", ["e", "c", "b"])
+        with pytest.raises(ValueError):
+            seq.move_chain_after("a", ["e", "b", "e"])
+        assert seq.to_list() == list("abcdef")  # nothing moved
         seq.check_invariants()
 
     def test_precedes_matches_positions(self, backend):
@@ -235,6 +289,20 @@ class TestTaggedOrderList:
         with pytest.raises(ValueError):
             tight.extend_front(["x", "x"])
 
+    def test_single_item_prepends_step_at_fixed_gaps(self):
+        """One promotion at a time (single-item ``extend_front``) steps
+        the front label down by at most ``_GAP``: 10,000 of them onto a
+        100-item block cause no relabeling, where halving the front gap
+        each time would spread the block about every 62 prepends."""
+        stats = SequenceStats()
+        seq = TaggedOrderList(stats=stats)
+        seq.extend_front(range(100))
+        for item in range(100, 10100):
+            seq.extend_front([item])
+        assert stats.relabels == 0
+        assert seq.to_list() == list(range(10099, 99, -1)) + list(range(100))
+        seq.check_invariants()
+
     def test_front_storm(self):
         """Prepend hammering exhausts the leading gap the same way."""
         stats = SequenceStats()
@@ -261,24 +329,61 @@ class TestTaggedOrderList:
             for b in held:
                 assert (keys[a] < keys[b]) == (a < b)
 
-    def test_move_after_keeps_tokens_live(self):
-        """The OrderInsert stale-heap-entry hazard: a token granted
-        before the item is repositioned (and before relabel storms) must
-        keep comparing by the item's *current* position.  move_after
-        reuses the node, so the old token never freezes."""
+    def test_order_key_is_a_label_snapshot(self):
+        """An OM token is the item's current label: it orders correctly
+        against other tokens while ``stats.relabels`` is unchanged and
+        the item has not moved, and a move leaves it behind."""
         seq = TaggedOrderList()
         seq.extend_back(range(50))
-        token_30 = seq.order_key(30)
-        token_10 = seq.order_key(10)
+        tokens = {i: seq.order_key(i) for i in range(50)}
+        assert all(isinstance(t, int) for t in tokens.values())
+        assert all(tokens[i] < tokens[i + 1] for i in range(49))
+        relabels = seq.stats.relabels
         seq.move_after(5, 30)  # 30 now sits between 5 and 6
-        assert token_30 < token_10  # ...so it precedes 10 per its token
-        relabels_before = seq.stats.relabels
+        assert seq.stats.relabels == relabels
+        # Unmoved items keep their tokens; the moved one gets a new label
+        # that orders by its new position, its old token does not.
+        assert all(seq.order_key(i) == tokens[i] for i in range(50) if i != 30)
+        assert tokens[5] < seq.order_key(30) < tokens[6]
+        assert tokens[30] > tokens[10]
+        # A relabeling rewrites labels in place: fresh tokens order like
+        # the list again.
         for i in range(1500):
             seq.insert_after(5, 1000 + i)  # storm right around 30's gap
-        assert seq.stats.relabels > relabels_before
-        assert token_30 < token_10
-        assert (token_30 < seq.order_key(5)) is False
+        assert seq.stats.relabels > relabels
+        fresh = [seq.order_key(item) for item in seq]
+        assert fresh == sorted(fresh) and len(set(fresh)) == len(fresh)
         assert seq.to_list().index(30) == seq.to_list().index(5) + 1501
+        seq.check_invariants()
+
+    def test_rekey_restores_heap_order_after_forced_relabel(self):
+        """A relabeling stales every label a heap holds; ``rekey`` restores
+        a correct min-order over the live items and drops stale entries."""
+        seq = TaggedOrderList()
+        seq.extend_back(range(40))
+        heap = LazyMinHeap()
+        for item in range(0, 40, 3):
+            heap.push(seq.order_key(item), item)
+        for item in (3, 9, 27):
+            heap.discard(item)  # leaves stale physical entries behind
+        heap.push(seq.order_key(9), 9)  # re-push: a duplicate entry
+        live = [item for item in range(0, 40, 3) if item not in (3, 27)]
+        relabels = seq.stats.relabels
+        # Hammer the gap right after item 0 until relabelings rewrite the
+        # labels of the heap's live items.
+        for i in range(60):
+            seq.insert_after(0, 1000 + i)
+        assert seq.stats.relabels > relabels
+        assert any(heap.key_of(item) != seq.order_key(item) for item in live)
+        heap.rekey(seq.order_key)
+        assert len(heap._heap) == len(heap) == len(live)
+        assert all(heap.key_of(item) == seq.order_key(item) for item in live)
+        popped = []
+        while heap:
+            key, item = heap.pop()
+            assert key == seq.order_key(item)
+            popped.append(item)
+        assert popped == live
 
     def test_labels_strictly_increasing_under_random_churn(self):
         rng = random.Random(9)
